@@ -65,12 +65,23 @@ def _sub_exp(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], spec: OrderSpec) -> Polynomial:
-    """Full reduction of f modulo basis (every term reduced)."""
+def normal_form(
+    f: Polynomial,
+    basis: Sequence[Polynomial],
+    spec: OrderSpec,
+    *,
+    leads: Sequence[tuple[tuple, Fraction]] | None = None,
+) -> Polynomial:
+    """Full reduction of f modulo basis (every term reduced).
+
+    ``leads``, when given, holds each basis element's leading (monomial,
+    coefficient) under spec, so that they are not recomputed.
+    """
     if not basis:
         return f
     key = spec.sort_key()
-    leads = [leading_term(g, spec) for g in basis]
+    if leads is None:
+        leads = [leading_term(g, spec) for g in basis]
     remainder: dict[tuple, Fraction] = {}
     work = dict(f.terms)
     while work:
@@ -99,9 +110,12 @@ def buchberger(generators: Sequence[Polynomial], spec: OrderSpec) -> list[Polyno
     """Reduced monic Groebner basis, deterministically ordered."""
     ring = generators[0].ring if generators else None
     basis: list[Polynomial] = []
+    leads: list[tuple[tuple, Fraction]] = []  # (monomial, coeff) per element
     for g in generators:
         if g:
-            basis.append(g * (1 / leading_term(g, spec)[1]))
+            le, lc = leading_term(g, spec)
+            basis.append(g * (1 / lc))
+            leads.append((le, Fraction(1)))
     if not basis:
         return []
     key = spec.sort_key()
@@ -110,25 +124,31 @@ def buchberger(generators: Sequence[Polynomial], spec: OrderSpec) -> list[Polyno
     started = time.monotonic()
     steps = 0
 
-    def lead(g):
-        return leading_term(g, spec)[0]
+    # pair -> its selection key: normal selection takes the smallest lcm of
+    # leading monomials first, ties broken by the pair itself
+    pairs: dict[tuple[int, int], tuple] = {}
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    def add_pairs(new):
+        ln = leads[new][0]
+        for k in range(new):
+            pairs[k, new] = (key(_lcm(leads[k][0], ln)), (k, new))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
     while pairs:
-        # normal selection: smallest lcm of leading monomials first
-        i, j = min(pairs, key=lambda p: (key(_lcm(lead(basis[p[0]]), lead(basis[p[1]]))), p))
-        pairs.discard((i, j))
-        li, lj = lead(basis[i]), lead(basis[j])
+        _, (i, j) = min(pairs.values())
+        del pairs[i, j]
+        li, lj = leads[i][0], leads[j][0]
         lcm = _lcm(li, lj)
         # Buchberger's first criterion: coprime leading monomials
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
         # chain criterion
         skip = False
-        for k, g in enumerate(basis):
+        for k, (lk, _) in enumerate(leads):
             if k in (i, j):
                 continue
-            if _divides(lead(g), lcm):
+            if _divides(lk, lcm):
                 a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
                     skip = True
@@ -144,37 +164,40 @@ def buchberger(generators: Sequence[Polynomial], spec: OrderSpec) -> list[Polyno
         s = fi * Polynomial(ring, {_sub_exp(lcm, li): Fraction(1)}) - fj * Polynomial(
             ring, {_sub_exp(lcm, lj): Fraction(1)}
         )
-        r = normal_form(s, basis, spec)
+        r = normal_form(s, basis, spec, leads=leads)
         if r:
-            r = r * (1 / leading_term(r, spec)[1])
-            basis.append(r)
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    return _reduce_basis(basis, spec)
+            le, lc = leading_term(r, spec)
+            basis.append(r * (1 / lc))
+            leads.append((le, Fraction(1)))
+            add_pairs(len(basis) - 1)
+    return _reduce_basis(basis, leads, spec)
 
 
-def _reduce_basis(basis: list[Polynomial], spec: OrderSpec) -> list[Polynomial]:
+def _reduce_basis(
+    basis: list[Polynomial], leads: list[tuple[tuple, Fraction]], spec: OrderSpec
+) -> list[Polynomial]:
+    """Minimal inter-reduced basis from a monic Groebner basis and its leads."""
     key = spec.sort_key()
     # minimalize: drop elements whose lead is divisible by another lead
-    leads = [leading_term(g, spec)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        li = leads[i]
-        redundant = any(
-            j != i and _divides(leads[j], li) and (leads[j] != li or j < i)
-            for j in range(len(basis))
+    mons = [le for le, _ in leads]
+    keep = [
+        i
+        for i, li in enumerate(mons)
+        if not any(
+            j != i and _divides(lj, li) and (lj != li or j < i) for j, lj in enumerate(mons)
         )
-        if not redundant:
-            keep.append(g)
-    # inter-reduce tails
+    ]
+    # inter-reduce tails; no other kept lead divides an element's lead, so
+    # each result keeps its lead with coefficient 1
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, spec)
-        r = r * (1 / leading_term(r, spec)[1])
-        reduced.append(r)
-    reduced.sort(key=lambda g: key(leading_term(g, spec)[0]))
-    return reduced
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = normal_form(
+            basis[i], [basis[k] for k in others], spec, leads=[leads[k] for k in others]
+        )
+        reduced.append((key(mons[i]), r))
+    reduced.sort(key=lambda item: item[0])
+    return [r for _, r in reduced]
 
 
 class Ideal:
@@ -193,7 +216,10 @@ class Ideal:
     def groebner_basis(self, spec: OrderSpec) -> list[Polynomial]:
         k = spec.cache_key()
         if k not in self._gb_cache:
-            self._gb_cache[k] = buchberger(list(self.generators), spec)
+            # keep the generator objects wherever the basis repeats one
+            same = {g: g for g in self.generators}
+            gb = buchberger(list(self.generators), spec)
+            self._gb_cache[k] = [same.get(g, g) for g in gb]
         return list(self._gb_cache[k])
 
     def contains(self, f: Polynomial, spec: OrderSpec | None = None) -> bool:
@@ -283,46 +309,40 @@ def saturate_at_variables(ideal: Ideal) -> Ideal:
 
     Uses the reverse-lex trick: under a degree order where x_i is smallest
     and fewer copies of x_i win ties, saturating at x_i amounts to dividing
-    every reduced-basis element by its common x_i power.  Cycles through the
-    variables until nothing divides.
+    every reduced-basis element by its common x_i power, and the divided
+    basis is saturated at x_i.  Cycles through the variables until n in a
+    row divide nothing.  The bases are used once, so none is cached.
     """
-    from .poly import OrderSpec as _OS
-
     ring = ideal.ring
-    current = ideal
-    changed = True
-    while changed:
-        changed = False
-        for i in range(ring.nvars):
-            rows = [
-                (1,) * ring.nvars,
-                tuple(-1 if j == i else 0 for j in range(ring.nvars)),
-            ]
-            gb = current.groebner_basis(_OS.matrix_order(rows))
-            low = {g: min(e[i] for e in g.terms) for g in gb}
-            if not any(low.values()):
-                continue
-            newgens = []
-            for g in gb:
-                m = low[g]
+    n = ring.nvars
+    gens = list(ideal.generators)
+    changed = False
+    clean = i = 0
+    while clean < n:
+        rows = [(1,) * n, tuple(-1 if j == i else 0 for j in range(n))]
+        gb = buchberger(gens, OrderSpec.matrix_order(rows))
+        low = [min(e[i] for e in g.terms) for g in gb]
+        if any(low):
+            gens = []
+            for g, m in zip(gb, low):
                 if m:
-                    newgens.append(Polynomial(ring, {
+                    g = Polynomial(ring, {
                         tuple(ej - m if j == i else ej for j, ej in enumerate(e)): c
                         for e, c in g.terms.items()
-                    }))
-                else:
-                    newgens.append(g)
-            current = Ideal(ring, newgens)
+                    })
+                gens.append(g)
             changed = True
-    return current
+            clean = 1
+        else:
+            clean += 1
+        i = (i + 1) % n
+    return Ideal(ring, gens) if changed else ideal
 
 
 def contains_monomial(ideal: Ideal) -> bool:
     """Whether the ideal contains any monomial in the ring variables."""
     ring = ideal.ring
-    from .poly import OrderSpec as _OS
-
-    gb = ideal.groebner_basis(_OS.term("grevlex"))
+    gb = ideal.groebner_basis(OrderSpec.term("grevlex"))
     if any(g.num_terms() == 1 for g in gb):
         return True
     if all(g.num_terms() <= 2 for g in gb):

@@ -9,8 +9,10 @@ are those maximizing the weight (or weight tuple).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 
@@ -216,6 +218,12 @@ class Polynomial:
 # monomial orders
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """The row times the positive lcm of its denominators."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return tuple(int(x * scale) for x in row)
+
+
 def _named_key(name: str):
     if name == "lex":
         return lambda e: e
@@ -234,9 +242,14 @@ class OrderSpec:
     key used for initial forms: all terms attaining its maximum are kept.
     For a plain term order the two coincide, so initial forms are single
     leading terms.
+
+    Both keys are built once, from the weight or matrix rows scaled to
+    integers by the lcm of their denominators.  Positive scaling keeps the
+    order and the maximizing terms; ``weight``, ``matrix`` and
+    ``cache_key()`` keep the exact values given.
     """
 
-    __slots__ = ("kind", "name", "weight", "matrix", "tiebreak")
+    __slots__ = ("kind", "name", "weight", "matrix", "tiebreak", "_weight_key", "_sort_key")
 
     def __init__(self, kind, name=None, weight=None, matrix=None, tiebreak="grevlex"):
         self.kind = kind
@@ -248,10 +261,21 @@ class OrderSpec:
             else tuple(tuple(Fraction(x) for x in row) for row in matrix)
         )
         self.tiebreak = tiebreak
+        if kind == "term":
+            self._weight_key = self._sort_key = _named_key(name)
+            return
+        tkey = _named_key(tiebreak)
+        if kind == "weight":
+            w = _integer_row(self.weight)
+            self._weight_key = wkey = lambda e: sum(map(mul, w, e))
+            self._sort_key = lambda e: (wkey(e),) + tkey(e)
+        else:
+            rows = tuple(_integer_row(row) for row in self.matrix)
+            self._weight_key = wkey = lambda e: tuple(sum(map(mul, row, e)) for row in rows)
+            self._sort_key = lambda e: wkey(e) + tkey(e)
 
     @classmethod
     def term(cls, name: str) -> "OrderSpec":
-        _named_key(name)  # validate
         return cls("term", name=name)
 
     @classmethod
@@ -279,22 +303,10 @@ class OrderSpec:
         return None
 
     def weight_key(self):
-        if self.kind == "term":
-            return _named_key(self.name)
-        if self.kind == "weight":
-            w = self.weight
-            return lambda e: sum(wi * ei for wi, ei in zip(w, e) if ei)
-        rows = self.matrix
-        return lambda e: tuple(sum(wi * ei for wi, ei in zip(row, e) if ei) for row in rows)
+        return self._weight_key
 
     def sort_key(self):
-        if self.kind == "term":
-            return _named_key(self.name)
-        wkey = self.weight_key()
-        tkey = _named_key(self.tiebreak)
-        if self.kind == "weight":
-            return lambda e: (wkey(e),) + tuple(tkey(e))
-        return lambda e: wkey(e) + tuple(tkey(e))
+        return self._sort_key
 
     def extended(self, extra: int = 1) -> "OrderSpec":
         """Same order on a ring with ``extra`` trailing variables of weight 0."""

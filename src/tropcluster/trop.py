@@ -270,15 +270,9 @@ def _canonical_ray(ray: tuple, lineality: Sequence[tuple]) -> tuple:
             f = v[c]
             if f:
                 v = [x - f * y for x, y in zip(v, red.row(r))]
-    from math import gcd
-
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in v))
     ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     return tuple(ints)

@@ -1,5 +1,6 @@
 import pytest
 
+from tropcluster.flag import _load_data, _ray_vector, flag_plucker_ideal
 from tropcluster.groebner import (
     Ideal,
     ResourceBudget,
@@ -11,9 +12,11 @@ from tropcluster.groebner import (
     initial_ideal,
     normal_form,
     saturate,
+    saturate_at_variables,
     standard_monomials,
 )
 from tropcluster.poly import OrderSpec, PolyRing, parse_polynomial
+from tropcluster.trop import Cone, cone_initial_ideal, is_prime_binomial, lineality_vectors
 
 R3 = PolyRing(["x", "y", "z"])
 
@@ -154,3 +157,46 @@ def test_budget(monkeypatch):
         I.groebner_basis(OrderSpec.term("lex"))
     monkeypatch.delenv("TROPCLUSTER_BUDGET")
     assert Ideal(R3, I.generators).groebner_basis(OrderSpec.term("grevlex"))
+
+
+def census_initial_ideals():
+    """Label -> initial ideal of each maximal cone of the n=4 census."""
+    data = _load_data("flag4_census.json")
+    J = flag_plucker_ideal(4)
+    ring = J.ring
+    rays = {label: _ray_vector(ring, spec) for label, spec in data["rays"].items()}
+    lineality = lineality_vectors(ring)
+    return {
+        label: cone_initial_ideal(J, Cone(ring, [rays[r] for r in ray_labels], lineality))
+        for label, ray_labels in data["cones"].items()
+    }
+
+
+@pytest.fixture(scope="module")
+def census_inits():
+    return census_initial_ideals()
+
+
+def test_cached_bases_reuse_generator_objects(census_inits):
+    for init in census_inits.values():
+        gb = init.groebner_basis(OrderSpec.term("grevlex"))
+        assert all(any(g is h for h in init.generators) for g in gb)
+
+
+def test_saturate_at_variables_matches_general_saturation(census_inits):
+    assert len(census_inits) == 14
+    changed = set()
+    for label, init in census_inits.items():
+        ring = init.ring
+        fast = saturate_at_variables(init)
+        assert ideal_equal(fast, saturate(init, ring.monomial((1,) * ring.nvars))), label
+        if not ideal_equal(fast, init):
+            changed.add(label)
+    assert changed == {"C17", "C51"}
+
+
+def test_prime_check_caches_only_grevlex():
+    inits = census_initial_ideals()
+    for label, prime in (("C17", False), ("C36", True)):
+        assert is_prime_binomial(inits[label]) == prime
+        assert list(inits[label]._gb_cache) == [OrderSpec.term("grevlex").cache_key()]

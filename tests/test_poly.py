@@ -127,3 +127,57 @@ def test_initial_form_is_idempotent(terms):
     init = initial_form(f, spec)
     assert initial_form(init, spec) == init
     assert set(init.terms) <= set(f.terms)
+
+
+# Independent reference for weight and matrix orders: exact Fraction dot
+# products, then the named tiebreak written out.
+TIEBREAKS = {
+    "lex": lambda e: e,
+    "grlex": lambda e: (sum(e), e),
+    "grevlex": lambda e: (sum(e), tuple(-x for x in reversed(e))),
+}
+
+
+def _dot(row, e):
+    return sum((Fraction(w) * x for w, x in zip(row, e)), Fraction(0))
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+exponents = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(exponents, rationals.filter(bool), min_size=1, max_size=8),
+    st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from(sorted(TIEBREAKS)),
+)
+def test_rational_orders_match_fraction_reference(terms, rows, as_weight, tiebreak):
+    ring = PolyRing(["a", "b", "c", "d"])
+    f = Polynomial(ring, terms)
+    if as_weight:
+        spec = OrderSpec.weight_order(rows[0], tiebreak=tiebreak)
+        wref = lambda e: (_dot(rows[0], e),)
+    else:
+        spec = OrderSpec.matrix_order(rows, tiebreak=tiebreak)
+        wref = lambda e: tuple(_dot(row, e) for row in rows)
+    ref = lambda e: wref(e) + TIEBREAKS[tiebreak](e)
+
+    top = max(f.terms, key=ref)
+    assert leading_term(f, spec) == (top, f.terms[top])
+    key = spec.sort_key()
+    for a in f.terms:
+        for b in f.terms:
+            assert (key(a) < key(b)) == (ref(a) < ref(b))
+            assert (key(a) == key(b)) == (a == b)
+    best = max(wref(e) for e in f.terms)
+    assert initial_form(f, spec).terms == {e: c for e, c in f.terms.items() if wref(e) == best}
+
+    # the integer scaling is internal: the stated order data stays exact
+    if as_weight:
+        assert spec.weight == tuple(Fraction(x) for x in rows[0])
+        assert spec.cache_key() == ("weight", None, spec.weight, None, tiebreak)
+    else:
+        assert spec.matrix == tuple(tuple(Fraction(x) for x in row) for row in rows)
+        assert spec.cache_key() == ("matrix", None, None, spec.matrix, tiebreak)

@@ -236,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification pipelines for cluster-algebra "
         "toric degenerations and tropical positivity.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallelism hint (reports are canonicalized regardless)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, *, seed=False, basis=False, word=False, n=False):

@@ -73,10 +73,11 @@ class SeedData:
             for j in range(n):
                 if d[i] * B[i, j] != -d[j] * B[j, i]:
                     raise ValueError("mutable block is not skew-symmetrizable")
-        # top-right block determined by the frozen rows and skew-symmetrizers
+        # top-right block determined by the frozen rows and skew-symmetrizers,
+        # in the same D . B convention (mutation preserves no mixed one)
         for i in range(n):
             for j in range(n, self.size()):
-                if d[j] * B[i, j] != -d[i] * B[j, i]:
+                if d[i] * B[i, j] != -d[j] * B[j, i]:
                     raise ValueError(
                         "top-right block inconsistent with frozen rows"
                     )
@@ -153,19 +154,50 @@ def mu_matrices(seed: SeedData, k: int, sign: int) -> tuple[QMatrix, QMatrix]:
     return QMatrix(mua), QMatrix(mux)
 
 
-def mutate_matrix(seed: SeedData, k: int) -> SeedData:
-    """Matrix mutation in direction k via the tropical mutation matrices.
+def _mutated_rows(B: tuple, kk: int, sign: int) -> tuple:
+    """Rows of (MuX * B^T * MuA)^T = MuA^T * B * MuX^T for one sign, with B
+    given as int rows and kk the 0-based direction.
 
-    Both sign choices are computed and must agree.
+    MuA^T differs from the identity only in column kk and MuX^T only in row
+    kk, so the product is a rank-one integer update of B.
     """
-    _check_direction(seed, k)
-    results = []
-    for sign in (1, -1):
-        mua, mux = mu_matrices(seed, k, sign)
-        results.append((mux * seed.B.transpose() * mua).transpose())
-    if results[0] != results[1]:
+    row_k = B[kk]
+    # MuA^T * B: row kk negated, row i gains [sign*b_ik]_+ times row kk
+    rows = []
+    for i, row in enumerate(B):
+        c = _pos(sign * row[kk])
+        if i == kk:
+            rows.append([-x for x in row_k])
+        elif c:
+            rows.append([x + c * y for x, y in zip(row, row_k)])
+        else:
+            rows.append(list(row))
+    # ... * MuX^T: column kk negated, column j gains [-sign*b_kj]_+ times
+    # column kk (coefficients from the unmutated row kk)
+    coeffs = [(j, c) for j, c in enumerate(_pos(-sign * b) for b in row_k)
+              if c and j != kk]
+    for row in rows:
+        x = row[kk]
+        if x:
+            for j, c in coeffs:
+                row[j] += c * x
+        row[kk] = -x
+    return tuple(tuple(row) for row in rows)
+
+
+def mutate_matrix(seed: SeedData, k: int) -> SeedData:
+    """Matrix mutation in direction k, B' = (MuX * B^T * MuA)^T with the
+    tropical mutation matrices of ``mu_matrices``.
+
+    Each sign's product is computed as an exact integer rank-one update;
+    the two sign choices must agree.
+    """
+    kk = _check_direction(seed, k)
+    B = tuple(tuple(int(x) for x in row) for row in seed.B.entries)
+    plus = _mutated_rows(B, kk, 1)
+    if plus != _mutated_rows(B, kk, -1):
         raise OracleMismatch("the two sign choices of matrix mutation disagree")
-    return SeedData(seed.n, seed.m, results[0], seed.d, seed.labels)
+    return SeedData(seed.n, seed.m, plus, seed.d, seed.labels)
 
 
 def mutate_seed(seed: SeedData, word: Iterable[int]) -> SeedData:
@@ -181,9 +213,15 @@ def mutate_gvector(g: Sequence, seed: SeedData, k: int) -> tuple:
     the piecewise-linear tropical mutation).
     """
     kk = _check_direction(seed, k)
-    sign = 1 if g[kk] >= 0 else -1
-    _, mux = mu_matrices(seed, k, sign)
-    return tuple(int(x) for x in mux.matvec(list(g)))
+    out = [int(x) for x in g]
+    gk = out[kk]
+    sign = 1 if gk >= 0 else -1
+    if gk:
+        # column kk of MuX: ([-sign*b_kj]_+ ... -1 ...)
+        for j, b in enumerate(seed.B.row(kk)):
+            out[j] += _pos(-sign * int(b)) * gk
+    out[kk] = -gk
+    return tuple(out)
 
 
 def gvector_of_exchanged_variable(seed: SeedData, k: int) -> tuple:

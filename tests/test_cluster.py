@@ -1,13 +1,16 @@
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropcluster import cluster
 from tropcluster.cluster import (
     AmbiguousMinimum,
     FrozenDirection,
     LaurentPoly,
+    OracleMismatch,
     SeedData,
     dominance_less,
     gmatrix,
@@ -38,6 +41,10 @@ def test_seed_validation():
         SeedData(2, 1, [[0, 1], [-1, 0]])  # wrong size
     # skew-symmetrizable with nontrivial d
     SeedData(2, 0, [[0, 1], [-2, 0]], d=[2, 1])
+    # the frozen coupling follows the same D . B convention
+    SeedData(2, 1, [[0, 2, 0], [-1, 0, 1], [0, -2, 0]], d=[1, 2, 1])
+    with pytest.raises(ValueError):
+        SeedData(2, 1, [[0, 2, 0], [-1, 0, 2], [0, -1, 0]], d=[1, 2, 1])
 
 
 def test_seed_json_roundtrip():
@@ -179,6 +186,68 @@ def test_random_seeds_involution_and_eq34():
                 assert sp.B.transpose() == mux * seed.B.transpose() * mua
                 assert mua * mua == QMatrix.identity(3)
                 assert mux * mux == QMatrix.identity(3)
+
+
+@st.composite
+def skew_symmetrizable_seeds(draw):
+    """Valid seeds with n in {2, 3}, m in {1, 2} and skew-symmetrizers
+    that are not all 1."""
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.sampled_from((1, 2)))
+    N = n + m
+    d = draw(st.lists(st.integers(1, 3), min_size=N, max_size=N)
+             .filter(lambda d: set(d) != {1}))
+    b = [[0] * N for _ in range(N)]
+    for i in range(n):
+        for j in range(i + 1, N):
+            # d_i b_ij = -d_j b_ji = s * lcm(d_i, d_j)
+            s = draw(st.integers(-2, 2))
+            lcm = math.lcm(d[i], d[j])
+            b[i][j], b[j][i] = s * lcm // d[i], -s * lcm // d[j]
+    for i in range(n, N):
+        for j in range(n, N):
+            b[i][j] = draw(st.integers(-1, 1))
+    return SeedData(n, m, b, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_symmetrizable_seeds())
+def test_mutation_matches_mu_matrices_on_skew_symmetrizable_seeds(seed):
+    for k in range(1, seed.n + 1):
+        sp = mutate_matrix(seed, k)
+        assert mutate_matrix(sp, k) == seed
+        for sign in (1, -1):
+            mua, mux = mu_matrices(seed, k, sign)
+            assert sp.B == (mux * seed.B.transpose() * mua).transpose()
+
+
+@pytest.mark.parametrize("bad_sign", (1, -1))
+def test_sign_disagreement_raises(monkeypatch, bad_sign):
+    honest = cluster._mutated_rows
+
+    def corrupted(B, kk, sign):
+        rows = honest(B, kk, sign)
+        if sign == bad_sign:
+            rows = (tuple(x + 1 for x in rows[0]),) + rows[1:]
+        return rows
+
+    monkeypatch.setattr(cluster, "_mutated_rows", corrupted)
+    with pytest.raises(OracleMismatch):
+        mutate_matrix(SEED, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_symmetrizable_seeds(), st.data())
+def test_mutate_gvector_matches_mu_matrices(seed, data):
+    N = seed.size()
+    k = data.draw(st.integers(1, seed.n))
+    g = data.draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N))
+    for gk in (-2, 0, 3):
+        g[k - 1] = gk
+        out = mutate_gvector(g, seed, k)
+        _, mux = mu_matrices(seed, k, 1 if gk >= 0 else -1)
+        assert out == mux.matvec(g)
+        assert all(type(x) is int for x in out)
 
 
 @settings(max_examples=20, deadline=None)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .cluster import SeedData, gmatrix, mutate_seed
-from .groebner import Ideal, ideal_equal, initial_ideal
+from .groebner import Ideal, ideal_equal, initial_ideal, render_ideal
 from .poly import OrderSpec, parse_polynomial
 from .present import KhovanskiiSpec, presentation_ideal, ray_matrix, verify_main_theorem
 from .trop import is_totally_positive
@@ -46,10 +46,6 @@ def _parse_word(text: str) -> list[int]:
     if not text:
         return []
     return [int(x) for x in text.split(",")]
-
-
-def _render_ideal(ideal: Ideal) -> list[str]:
-    return sorted(g.render() for g in ideal.groebner_basis(OrderSpec.term("grevlex")))
 
 
 def _report_exit(report: dict, out: str | None) -> int:
@@ -139,7 +135,7 @@ def _cmd_flag3(args) -> int:
         )
         entry = {
             "weight": list(w),
-            "initial_ideal": _render_ideal(init),
+            "initial_ideal": render_ideal(init),
             "positivity": cert.verdict,
             "status": "pass" if ok else "fail",
         }
@@ -205,7 +201,7 @@ def _cmd_fflv(args) -> int:
         "verified": oracle_ok,
     }
     if n == 4:
-        report["initial_ideal"] = _render_ideal(fflv_initial_ideal(n))
+        report["initial_ideal"] = render_ideal(fflv_initial_ideal(n))
     return _report_exit(report, args.out)
 
 

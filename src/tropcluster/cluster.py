@@ -5,17 +5,20 @@ integer matrix whose first n columns are the extended exchange matrix and
 whose frozen columns complete it to a full-rank lattice map.  Mutation
 directions are 1-based (k in 1..n), matching the JSON/CLI encoding.
 
-g-vectors follow the MIN convention: the g-vector of a cluster variable is
-the dominance-minimal exponent of its Laurent expansion.
+Laurent expansions are ``poly.Polynomial`` objects whose exponents may be
+negative.  g-vectors follow the MIN convention: the g-vector of a cluster
+variable is the dominance-minimal exponent of its Laurent expansion.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactmath import QMatrix, nonnegative_combination
+from .poly import OrderSpec, Polynomial, PolyRing
 
 
 class FrozenDirection(Exception):
@@ -240,80 +243,40 @@ def gvector_of_exchanged_variable(seed: SeedData, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Laurent expansion
 
-class LaurentPoly:
-    """Laurent polynomial: exponent tuple (ints, possibly negative) -> Fraction."""
+@functools.cache
+def _laurent_ring(N: int) -> PolyRing:
+    """The ring of Laurent expansions in N initial cluster variables.
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms):
-        self.nvars = nvars
-        self.terms = {tuple(e): Fraction(c) for e, c in dict(terms).items() if c != 0}
-
-    @classmethod
-    def monomial(cls, nvars: int, exponent, coeff=1) -> "LaurentPoly":
-        return cls(nvars, {tuple(exponent): Fraction(coeff)})
-
-    @classmethod
-    def unit(cls, nvars: int, i: int) -> "LaurentPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
-
-    def __mul__(self, other):
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
-
-    def exponents(self):
-        return list(self.terms)
-
-    def __repr__(self):
-        return f"LaurentPoly({self.terms!r})"
+    Its names are fixed, not the seed's labels, which need not be distinct.
+    """
+    return PolyRing([f"x{j + 1}" for j in range(N)])
 
 
-def _laurent_key(e: tuple):
-    return (sum(e), tuple(-x for x in reversed(e)))
+def laurent_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient of Laurent polynomials (exponents may be negative);
+    raises ValueError on a nonzero remainder.
 
-
-def laurent_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact division of Laurent polynomials; raises on nonzero remainder."""
-    if not g.terms:
+    Quotient terms come in strictly grevlex-descending order.  Coordinatewise
+    minima and maxima of exponents add under multiplication, so every term
+    of an exact quotient lies in the box [lo, hi] below, and a term outside
+    it proves a remainder; the box is finite, so the loop ends.
+    """
+    if not g:
         raise ZeroDivisionError("Laurent division by zero")
-    le = max(g.terms, key=_laurent_key)
+    key = OrderSpec.term("grevlex").sort_key()
+    le = max(g.terms, key=key)
     lc = g.terms[le]
+    coords = list(zip(zip(*f.terms), zip(*g.terms)))
+    lo = [min(a) - min(b) for a, b in coords]
+    hi = [max(a) - max(b) for a, b in coords]
     work = dict(f.terms)
     out: dict[tuple, Fraction] = {}
     while work:
-        e = max(work, key=_laurent_key)
+        e = max(work, key=key)
         c = work.pop(e)
         shift = tuple(a - b for a, b in zip(e, le))
+        if not all(a <= x <= b for a, x, b in zip(lo, shift, hi)):
+            raise ValueError("Laurent division leaves a remainder")
         factor = c / lc
         out[shift] = factor
         for ge, gc in g.terms.items():
@@ -325,26 +288,28 @@ def laurent_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 work[ee] = s
             else:
                 work.pop(ee, None)
-    return LaurentPoly(f.nvars, out)
+    return Polynomial(f.ring, out)
 
 
-def laurent_expand(seed: SeedData, word: Sequence[int], i: int) -> LaurentPoly:
+def laurent_expand(seed: SeedData, word: Sequence[int], i: int) -> Polynomial:
     """Laurent expansion, in the initial cluster of ``seed``, of the i-th
     variable (1-based) of the seed reached by applying ``word``.
 
     Every expansion is checked against the positive Laurent phenomenon:
     coefficients must be positive integers, with negative exponents only in
-    mutable coordinates.
+    mutable coordinates.  The result lives in the ring of ``_laurent_ring``,
+    whose j-th variable is the j-th initial cluster variable.
     """
     N = seed.size()
     if not 1 <= i <= N:
         raise ValueError(f"variable index {i} out of range")
-    variables = [LaurentPoly.unit(N, j) for j in range(N)]
+    ring = _laurent_ring(N)
+    variables = [ring.variable(name) for name in ring.names]
     current = seed
     for k in word:
         kk = _check_direction(current, k)
-        plus = LaurentPoly.monomial(N, (0,) * N)
-        minus = LaurentPoly.monomial(N, (0,) * N)
+        plus = ring.one()
+        minus = ring.one()
         for j in range(N):
             b = int(current.B[j, kk])
             if b > 0:
@@ -391,18 +356,19 @@ def dominance_less(m1: Sequence, m2: Sequence, seed: SeedData) -> str:
     return "incomparable"
 
 
-def gvector_from_laurent(p: LaurentPoly, seed: SeedData, tiebreak=None) -> tuple:
+def gvector_from_laurent(p: Polynomial, seed: SeedData, tiebreak=None) -> tuple:
     """The dominance-minimal exponent of a cluster-monomial expansion.
 
-    ``tiebreak`` (a sort key on exponent tuples) only fixes the order in
-    which candidates are inspected; if more than one minimal exponent
-    survives the dominance comparison, AmbiguousMinimum is raised.
+    ``tiebreak`` (a sort key on exponent tuples, grevlex by default) only
+    fixes the order in which candidates are inspected; if more than one
+    minimal exponent survives the dominance comparison, AmbiguousMinimum is
+    raised.
     """
-    exps = p.exponents()
+    exps = list(p.terms)
     if not exps:
         raise ValueError("zero Laurent polynomial has no g-vector")
     if tiebreak is None:
-        tiebreak = _laurent_key
+        tiebreak = OrderSpec.term("grevlex").sort_key()
     exps.sort(key=tiebreak)
     minimal = []
     for e in exps:

@@ -18,8 +18,8 @@ from importlib import resources
 from typing import Sequence
 
 from .exactmath import QMatrix, kernel_basis
-from .groebner import Ideal, eliminate, ideal_equal
-from .poly import OrderSpec, Polynomial, PolyRing
+from .groebner import Ideal, eliminate, ideal_equal, render_ideal
+from .poly import Polynomial, PolyRing
 from .trop import (
     Cone,
     cone_initial_ideal,
@@ -224,9 +224,7 @@ def _census(ideal: Ideal, data: dict) -> dict:
             "binomial": is_binomial(init),
             "prime": is_prime_binomial(init),
             "positive": cert.verdict,
-            "initial_ideal": sorted(
-                g.render() for g in init.groebner_basis(OrderSpec.term("grevlex"))
-            ),
+            "initial_ideal": render_ideal(init),
         }
         expected_prime = label not in data.get("non_prime", [])
         entry["prime_as_expected"] = entry["prime"] == expected_prime

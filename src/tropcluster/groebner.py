@@ -1,21 +1,22 @@
 """Buchberger engine and ideal-level operations.
 
 All bases are reduced and monic, so a Groebner basis for a fixed order is a
-canonical form of the ideal.  Initial ideals for weight/matrix orders on
-non-homogeneous input go through homogenization with an auxiliary variable
-followed by saturation, which keeps Buchberger termination honest.
+canonical form of the ideal, and ``render_ideal`` prints that form.
+Initial ideals for weight/matrix orders on non-homogeneous input go through
+homogenization with an auxiliary variable followed by saturation, which
+keeps Buchberger termination honest.  Saturation and the monomial test
+adjoin an inverse through one auxiliary variable (``_inverse_ideal``).
 
 The environment variable TROPCLUSTER_BUDGET, when set to an integer, caps
-the number of S-polynomial reductions per Groebner computation, and
-TROPCLUSTER_TIME_BUDGET (seconds) caps its wall-clock time; exceeding
-either raises ResourceBudget.
+the number of S-polynomial reductions per Groebner computation; exceeding
+it raises ResourceBudget.  No clock is read, so the work done depends only
+on the input.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import time
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,16 +40,6 @@ def _budget() -> int | None:
         return None
     try:
         return int(raw)
-    except ValueError:
-        return None
-
-
-def _time_budget() -> float | None:
-    raw = os.environ.get("TROPCLUSTER_TIME_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
     except ValueError:
         return None
 
@@ -120,8 +111,6 @@ def buchberger(generators: Sequence[Polynomial], spec: OrderSpec) -> list[Polyno
         return []
     key = spec.sort_key()
     budget = _budget()
-    time_budget = _time_budget()
-    started = time.monotonic()
     steps = 0
 
     # pair -> its selection key: normal selection takes the smallest lcm of
@@ -158,8 +147,6 @@ def buchberger(generators: Sequence[Polynomial], spec: OrderSpec) -> list[Polyno
         steps += 1
         if budget is not None and steps > budget:
             raise ResourceBudget(f"Groebner budget of {budget} S-polynomial steps exceeded")
-        if time_budget is not None and time.monotonic() - started > time_budget:
-            raise ResourceBudget(f"Groebner budget of {time_budget}s exceeded")
         fi, fj = basis[i], basis[j]
         s = fi * Polynomial(ring, {_sub_exp(lcm, li): Fraction(1)}) - fj * Polynomial(
             ring, {_sub_exp(lcm, lj): Fraction(1)}
@@ -256,6 +243,11 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
     return a.groebner_basis(spec) == b.groebner_basis(spec)
 
 
+def render_ideal(ideal: Ideal) -> list[str]:
+    """Sorted renderings of the reduced grevlex basis: a canonical text form."""
+    return sorted(g.render() for g in ideal.groebner_basis(OrderSpec.term("grevlex")))
+
+
 def eliminate(ideal: Ideal, keep: Sequence[str]) -> Ideal:
     """Intersect with the subring on the kept variables.
 
@@ -291,17 +283,28 @@ def _restrict(ideal: Ideal, ring: PolyRing) -> Ideal:
     return Ideal(ring, [Polynomial(ring, g.terms) for g in result.generators])
 
 
-def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """Saturation (I : f^infinity) via an auxiliary inverse variable."""
+def _fresh_name(ring: PolyRing, name: str) -> str:
+    """``name`` with underscores prepended until no ring variable has it."""
+    while name in ring._index:
+        name = "_" + name
+    return name
+
+
+def _inverse_ideal(ideal: Ideal, f: Polynomial) -> Ideal:
+    """The ideal's generators and f*t - 1, in the ring extended by a fresh
+    last variable t; its intersection with the ring is (I : f^infinity)."""
     ring = ideal.ring
-    aux = "_sat"
-    while aux in ring._index:
-        aux = "_" + aux
+    aux = _fresh_name(ring, "_inv")
     big = ring.extend([aux])
     lift = lambda g: Polynomial(big, {e + (0,): c for e, c in g.terms.items()})
     gens = [lift(g) for g in ideal.generators]
     gens.append(lift(f) * big.variable(aux) - 1)
-    return _restrict(Ideal(big, gens), ring)
+    return Ideal(big, gens)
+
+
+def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
+    """Saturation (I : f^infinity) via an auxiliary inverse variable."""
+    return _restrict(_inverse_ideal(ideal, f), ideal.ring)
 
 
 def saturate_at_variables(ideal: Ideal) -> Ideal:
@@ -350,15 +353,9 @@ def contains_monomial(ideal: Ideal) -> bool:
         # so a binomial ideal contains a monomial only if its reduced basis
         # does
         return False
-    prod = ring.monomial((1,) * ring.nvars)
-    aux = "_inv"
-    while aux in ring._index:
-        aux = "_" + aux
-    big = ring.extend([aux])
-    lift = lambda g: Polynomial(big, {e + (0,): c for e, c in g.terms.items()})
-    gens = [lift(g) for g in ideal.generators]
-    gens.append(lift(prod) * big.variable(aux) - 1)
-    return Ideal(big, gens).is_trivial()
+    # a monomial lies in I iff inverting the product of all variables
+    # leaves the unit ideal
+    return _inverse_ideal(ideal, ring.monomial((1,) * ring.nvars)).is_trivial()
 
 
 def homogenize(f: Polynomial, w: Sequence, hom_ring: PolyRing, hom_var: str) -> Polynomial:
@@ -409,9 +406,7 @@ def initial_ideal(ideal: Ideal, spec: OrderSpec) -> Ideal:
         gb = ideal.groebner_basis(spec)
         return Ideal(ring, [initial_form(g, spec) for g in gb])
 
-    hom_var = "_h"
-    while hom_var in ring._index:
-        hom_var = "_" + hom_var
+    hom_var = _fresh_name(ring, "_h")
     sat, big = _homogenized_ideal(ideal, hom_var)
     big_spec = spec.extended(1)
     gb = sat.groebner_basis(big_spec)

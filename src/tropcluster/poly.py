@@ -99,7 +99,12 @@ class PolyRing:
 
 
 class Polynomial:
-    """Sparse polynomial: map exponent tuple -> nonzero Fraction."""
+    """Sparse polynomial: map exponent tuple -> nonzero Fraction.
+
+    Exponents may be negative, which makes it a Laurent polynomial (cluster
+    Laurent expansions are stored this way).  Arithmetic and rendering
+    accept that; Groebner operations need nonnegative exponents.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -196,7 +201,7 @@ class Polynomial:
             for name, p in zip(self.ring.names, e):
                 if p == 1:
                     factors.append(name)
-                elif p > 1:
+                elif p:
                     factors.append(f"{name}^{p}")
             mono = "*".join(factors)
             coeff = abs(c)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .cluster import SeedData, gmatrix, laurent_expand, mutate_seed
 from .exactmath import QMatrix, invert
-from .groebner import Ideal, eliminate, ideal_equal, initial_ideal, saturate
+from .groebner import Ideal, eliminate, ideal_equal, initial_ideal, render_ideal
 from .poly import OrderSpec, Polynomial, PolyRing
 from .trop import (
     Cone,
@@ -54,7 +54,6 @@ class Presentation:
 def _laurent_to_poly(expansion, big: PolyRing, u_index: int) -> Polynomial:
     """Rewrite a Laurent polynomial in the a-variables as a genuine
     polynomial using u = (a_1 ... a_N)^{-1}."""
-    N = expansion.nvars
     terms = {}
     for e, c in expansion.terms.items():
         t = max([0] + [-x for x in e])
@@ -133,10 +132,6 @@ def verify_khovanskii(spec: KhovanskiiSpec, frame: Sequence[int] = (),
     return is_binomial(init) and is_prime_binomial(init)
 
 
-def _render_ideal(ideal: Ideal) -> list[str]:
-    return [g.render() for g in ideal.groebner_basis(OrderSpec.term("grevlex"))]
-
-
 def verify_main_theorem(spec: KhovanskiiSpec) -> dict:
     """Full one-step verification pipeline around the frame seed.
 
@@ -162,7 +157,7 @@ def verify_main_theorem(spec: KhovanskiiSpec) -> dict:
     rays_s = ray_matrix(spec)
     cone_s = Cone(J.ring, [rays_s.row(r) for r in range(N)])
     init_s = cone_initial_ideal(J, cone_s)
-    initial_ideals["frame"] = _render_ideal(init_s)
+    initial_ideals["frame"] = render_ideal(init_s)
     cert_s = is_totally_positive(init_s)
     record(
         "frame_cone_prime_positive",
@@ -186,7 +181,7 @@ def verify_main_theorem(spec: KhovanskiiSpec) -> dict:
         record(f"mutation_{k}_changes_one_row", diff_rows == [k - 1])
         cone_k = Cone(J.ring, [rays_k.row(r) for r in range(N)])
         init_k = cone_initial_ideal(J, cone_k)
-        initial_ideals["mutated"][str(k)] = _render_ideal(init_k)
+        initial_ideals["mutated"][str(k)] = render_ideal(init_k)
         cert_k = is_totally_positive(init_k)
         record(
             f"mutation_{k}_adjacent_prime_positive",

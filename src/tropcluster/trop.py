@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from .exactmath import IntLattice, QMatrix, is_saturated, rref
 from .groebner import (
     Ideal,
-    ResourceBudget,
     contains_monomial,
     ideal_equal,
     initial_ideal,
@@ -112,57 +111,43 @@ def lineality_vectors(ring: PolyRing) -> list[tuple]:
 
 
 def cone_initial_ideal(ideal: Ideal, cone: Cone) -> Ideal:
-    """The initial ideal of the cone's relative interior, via iterated
-    single-weight initial ideals: lineality vectors first, then rays.
+    """The initial ideal of the cone's relative interior: the iterated
+    single-weight initial ideal, lineality vectors first, then rays.
 
     Cone data is min-convention, so each weight is negated before the
-    max-convention engine runs.  Raises NotACone if an intermediate ideal
-    acquires a monomial.
+    max-convention engine runs.  A homogeneous ideal of a positively graded
+    ring takes one Groebner basis under the stacked matrix order of the
+    weights; any other ideal takes the iterated route, one weight at a
+    time.  The route depends only on the input.  Raises NotACone if an
+    intermediate ideal acquires a monomial.
     """
-    weights = [
+    weights = _cone_weights(ideal, cone)
+    if weights and ideal.ring.is_positively_graded() and ideal.is_homogeneous():
+        current = initial_ideal(ideal, OrderSpec.matrix_order(weights))
+    else:
+        current = _iterated_initial_ideal(ideal, weights)
+    # the initial ideal of an ideal holding a monomial holds it too, so a
+    # monomial at any intermediate stage shows in the final one
+    if contains_monomial(current):
+        raise NotACone("iterated initial ideal contains a monomial")
+    return current
+
+
+def _cone_weights(ideal: Ideal, cone: Cone) -> list[tuple]:
+    """Max-convention weights of the cone's lineality vectors, then rays,
+    leaving out those for which every generator is homogeneous."""
+    return [
         tuple(-x for x in w)
         for w in tuple(cone.lineality) + tuple(cone.rays)
         if not all(_weight_homogeneous(g, w) for g in ideal.generators)
     ]
-    if not weights:
-        if contains_monomial(ideal):
-            raise NotACone("iterated initial ideal contains a monomial")
-        return ideal
-    if ideal.ring.is_positively_graded() and ideal.is_homogeneous():
-        # one Groebner basis under the stacked order; a monomial appearing at
-        # any intermediate stage survives into the final initial ideal, so
-        # the single final check is equivalent.  Some stacked orders blow up,
-        # so the attempt is budgeted with the slower iterated route as backup.
-        try:
-            current = _with_budget(
-                15.0, lambda: initial_ideal(ideal, OrderSpec.matrix_order(weights))
-            )
-        except ResourceBudget:
-            current = None
-        if current is not None:
-            if contains_monomial(current):
-                raise NotACone("iterated initial ideal contains a monomial")
-            return current
-    current = ideal
+
+
+def _iterated_initial_ideal(ideal: Ideal, weights: Sequence[tuple]) -> Ideal:
+    """in_{w_k}(... in_{w_1}(ideal)) for max-convention weights w_1..w_k."""
     for w in weights:
-        current = initial_ideal(current, OrderSpec.weight_order(w))
-        if contains_monomial(current):
-            raise NotACone("iterated initial ideal contains a monomial")
-    return current
-
-
-def _with_budget(seconds: float, fn):
-    """Run fn with a temporary wall-clock Groebner budget unless one is
-    already configured in the environment."""
-    import os
-
-    if os.environ.get("TROPCLUSTER_TIME_BUDGET") is not None:
-        return fn()
-    os.environ["TROPCLUSTER_TIME_BUDGET"] = str(seconds)
-    try:
-        return fn()
-    finally:
-        del os.environ["TROPCLUSTER_TIME_BUDGET"]
+        ideal = initial_ideal(ideal, OrderSpec.weight_order(w))
+    return ideal
 
 
 def _weight_homogeneous(g, w) -> bool:

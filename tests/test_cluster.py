@@ -9,7 +9,6 @@ from tropcluster import cluster
 from tropcluster.cluster import (
     AmbiguousMinimum,
     FrozenDirection,
-    LaurentPoly,
     OracleMismatch,
     SeedData,
     dominance_less,
@@ -24,6 +23,7 @@ from tropcluster.cluster import (
     mutate_seed,
 )
 from tropcluster.exactmath import QMatrix, invert
+from tropcluster.poly import Polynomial, PolyRing
 
 # the running example: type A2 with one frozen vertex
 SEED = SeedData(2, 1, [[0, 1, 0], [-1, 0, -1], [0, 1, 1]])
@@ -108,6 +108,7 @@ def test_gvector_of_exchanged_variable():
 def test_laurent_expand_examples():
     assert laurent_expand(SEED, (), 2).terms == {(0, 1, 0): 1}
     assert laurent_expand(SEED, (1,), 1).terms == {(-1, 0, 0): 1, (-1, 1, 0): 1}
+    assert laurent_expand(SEED, (1,), 1).render() == "x1^-1*x2 + x1^-1"
     assert laurent_expand(SEED, (1, 2), 2).terms == {
         (0, -1, 1): 1,
         (-1, 0, 0): 1,
@@ -115,12 +116,36 @@ def test_laurent_expand_examples():
     }
 
 
+R2 = PolyRing(["x1", "x2"])
+
+
 def test_laurent_div_exact():
-    f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1})
-    g = LaurentPoly(2, {(0, 0): 1})
-    assert laurent_div(f, g) == f
-    prod = f * LaurentPoly(2, {(-1, -1): 3})
-    assert laurent_div(prod, f) == LaurentPoly(2, {(-1, -1): 3})
+    f = Polynomial(R2, {(1, 0): 1, (0, 1): 1})
+    assert laurent_div(f, R2.one()) == f
+    prod = f * R2.monomial((-1, -1), 3)
+    assert laurent_div(prod, f) == R2.monomial((-1, -1), 3)
+
+
+def test_laurent_div_remainder():
+    # 1 / (1 + x1) is not a Laurent polynomial
+    with pytest.raises(ValueError):
+        laurent_div(R2.one(), Polynomial(R2, {(0, 0): 1, (1, 0): 1}))
+    with pytest.raises(ZeroDivisionError):
+        laurent_div(R2.one(), R2.zero())
+
+
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(-4, 4).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: Polynomial(R2, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_laurent_div_inverts_multiplication(f, g):
+    assert laurent_div(f * g, g) == f
 
 
 def test_dominance():
@@ -134,13 +159,13 @@ def test_dominance():
 def test_gvector_from_laurent():
     a5 = laurent_expand(SEED, (1, 2), 2)
     assert gvector_from_laurent(a5, SEED) == (-1, 0, 0)
-    mono = LaurentPoly.unit(3, 1)
+    mono = PolyRing(["x1", "x2", "x3"]).variable("x2")
     assert gvector_from_laurent(mono, SEED) == (0, 1, 0)
 
 
 def test_gvector_ambiguous():
     # two incomparable exponents: not a cluster monomial expansion
-    p = LaurentPoly(3, {(0, 0, 1): 1, (1, 0, 0): 1})
+    p = Polynomial(PolyRing(["x1", "x2", "x3"]), {(0, 0, 1): 1, (1, 0, 0): 1})
     with pytest.raises(AmbiguousMinimum):
         gvector_from_laurent(p, SEED)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from tropcluster.flag import _load_data, _ray_vector, extended_ideal, flag_plucker_ideal
 from tropcluster.groebner import Ideal, ideal_equal, initial_ideal
 from tropcluster.poly import OrderSpec, PolyRing, parse_polynomial
 from tropcluster.trop import (
@@ -7,6 +8,8 @@ from tropcluster.trop import (
     NotACone,
     NotBinomial,
     NotCertified,
+    _cone_weights,
+    _iterated_initial_ideal,
     cone_initial_ideal,
     cones_adjacent,
     in_tropicalization,
@@ -175,3 +178,26 @@ def test_cones_adjacent():
     with pytest.raises(NotCertified):
         # a lineality-only cone leaves the (non-binomial) ideal unchanged
         cones_adjacent(J, Cone(RA, TAU_S), Cone(RA, [], lineality=[TAU_S[1]]))
+
+
+@pytest.mark.parametrize(
+    "ideal, data, skip",
+    [
+        (lambda: flag_plucker_ideal(4), "flag4_census.json", ()),
+        # extended C24's stacked route takes seconds; test_05 runs it
+        (extended_ideal, "flag4_extended.json", ("C24",)),
+    ],
+    ids=["plucker", "extended"],
+)
+def test_iterated_route_matches_stacked_route(ideal, data, skip):
+    J = ideal()
+    ring = J.ring
+    assert ring.is_positively_graded() and J.is_homogeneous()  # stacked route
+    census = _load_data(data)
+    rays = {label: _ray_vector(ring, spec) for label, spec in census["rays"].items()}
+    cones = {label: rs for label, rs in census["cones"].items() if label not in skip}
+    assert len(cones) == 14 - len(skip)
+    for label, ray_labels in cones.items():
+        cone = Cone(ring, [rays[r] for r in ray_labels], lineality_vectors(ring))
+        iterated = _iterated_initial_ideal(J, _cone_weights(J, cone))
+        assert ideal_equal(iterated, cone_initial_ideal(J, cone)), label

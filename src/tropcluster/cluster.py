@@ -1,13 +1,14 @@
 """Seeds, mutation, Laurent expansion, dominance order and g-vectors.
 
 A seed is stored as its fully extended exchange matrix: an (n+m)-square
-integer matrix whose first n columns are the extended exchange matrix and
-whose frozen columns complete it to a full-rank lattice map.  Mutation
+tuple of int rows whose first n columns are the extended exchange matrix
+and whose frozen columns complete it to a full-rank lattice map.  Mutation
 directions are 1-based (k in 1..n), matching the JSON/CLI encoding.
 
 Laurent expansions are ``poly.Polynomial`` objects whose exponents may be
 negative.  g-vectors follow the MIN convention: the g-vector of a cluster
-variable is the dominance-minimal exponent of its Laurent expansion.
+variable is the dominance-minimal exponent of its Laurent expansion; they
+need equal skew-symmetrizers (see ``gmatrix``).
 """
 
 from __future__ import annotations
@@ -43,22 +44,21 @@ def _neg(x):
 
 
 class SeedData:
-    """Immutable seed: size data, fully extended exchange matrix, labels."""
+    """Immutable seed: sizes, exchange matrix as int rows, d, labels."""
 
     __slots__ = ("n", "m", "B", "d", "labels")
 
     def __init__(self, n: int, m: int, B, d: Sequence[int] | None = None,
                  labels: Sequence[str] | None = None):
-        if not isinstance(B, QMatrix):
-            B = QMatrix(B)
         N = n + m
-        if B.rows != N or B.cols != N:
+        rows = tuple(tuple(row) for row in B)
+        if len(rows) != N or any(len(row) != N for row in rows):
             raise ValueError("matrix must be (n+m)-square")
-        if not B.is_integral():
+        self.B = tuple(tuple(int(x) for x in row) for row in rows)
+        if self.B != rows:
             raise ValueError("exchange matrix must be integral")
         self.n = n
         self.m = m
-        self.B = B
         self.d = tuple(int(x) for x in (d if d is not None else [1] * N))
         if len(self.d) != N or any(x <= 0 for x in self.d):
             raise ValueError("need n+m positive skew-symmetrizers")
@@ -74,13 +74,13 @@ class SeedData:
         # D . B_mut skew-symmetric on the mutable block
         for i in range(n):
             for j in range(n):
-                if d[i] * B[i, j] != -d[j] * B[j, i]:
+                if d[i] * B[i][j] != -d[j] * B[j][i]:
                     raise ValueError("mutable block is not skew-symmetrizable")
         # top-right block determined by the frozen rows and skew-symmetrizers,
         # in the same D . B convention (mutation preserves no mixed one)
         for i in range(n):
             for j in range(n, self.size()):
-                if d[i] * B[i, j] != -d[j] * B[j, i]:
+                if d[i] * B[i][j] != -d[j] * B[j][i]:
                     raise ValueError(
                         "top-right block inconsistent with frozen rows"
                     )
@@ -106,7 +106,7 @@ class SeedData:
             {
                 "n": self.n,
                 "m": self.m,
-                "B": [[int(x) for x in row] for row in self.B.entries],
+                "B": [list(row) for row in self.B],
                 "d": list(self.d),
                 "labels": list(self.labels),
             },
@@ -143,17 +143,13 @@ def mu_matrices(seed: SeedData, k: int, sign: int) -> tuple[QMatrix, QMatrix]:
     kk = _check_direction(seed, k)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    N = seed.size()
-    B = seed.B
-    mua = [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)]
+    N, B = seed.size(), seed.B
+    mua = [[int(i == j) for j in range(N)] for i in range(N)]
     mux = [row[:] for row in mua]
     for j in range(N):
-        if j == kk:
-            mua[kk][kk] = Fraction(-1)
-            mux[kk][kk] = Fraction(-1)
-        else:
-            mua[kk][j] = Fraction(_pos(sign * B[j, kk]))
-            mux[j][kk] = Fraction(_pos(-sign * B[kk, j]))
+        mua[kk][j] = _pos(sign * B[j][kk])
+        mux[j][kk] = _pos(-sign * B[kk][j])
+    mua[kk][kk] = mux[kk][kk] = -1
     return QMatrix(mua), QMatrix(mux)
 
 
@@ -196,9 +192,8 @@ def mutate_matrix(seed: SeedData, k: int) -> SeedData:
     the two sign choices must agree.
     """
     kk = _check_direction(seed, k)
-    B = tuple(tuple(int(x) for x in row) for row in seed.B.entries)
-    plus = _mutated_rows(B, kk, 1)
-    if plus != _mutated_rows(B, kk, -1):
+    plus = _mutated_rows(seed.B, kk, 1)
+    if plus != _mutated_rows(seed.B, kk, -1):
         raise OracleMismatch("the two sign choices of matrix mutation disagree")
     return SeedData(seed.n, seed.m, plus, seed.d, seed.labels)
 
@@ -221,8 +216,8 @@ def mutate_gvector(g: Sequence, seed: SeedData, k: int) -> tuple:
     sign = 1 if gk >= 0 else -1
     if gk:
         # column kk of MuX: ([-sign*b_kj]_+ ... -1 ...)
-        for j, b in enumerate(seed.B.row(kk)):
-            out[j] += _pos(-sign * int(b)) * gk
+        for j, b in enumerate(seed.B[kk]):
+            out[j] += _pos(-sign * b) * gk
     out[kk] = -gk
     return tuple(out)
 
@@ -231,12 +226,8 @@ def gvector_of_exchanged_variable(seed: SeedData, k: int) -> tuple:
     """g-vector, in the current frame, of the variable created by mutating
     at k:  -f_k - sum_i [b_ik]_- f_i."""
     kk = _check_direction(seed, k)
-    N = seed.size()
-    g = [0] * N
+    g = [-_neg(row[kk]) for row in seed.B]
     g[kk] = -1
-    for i in range(N):
-        if i != kk:
-            g[i] = -_neg(int(seed.B[i, kk]))
     return tuple(g)
 
 
@@ -308,16 +299,12 @@ def laurent_expand(seed: SeedData, word: Sequence[int], i: int) -> Polynomial:
     current = seed
     for k in word:
         kk = _check_direction(current, k)
-        plus = ring.one()
-        minus = ring.one()
-        for j in range(N):
-            b = int(current.B[j, kk])
-            if b > 0:
-                for _ in range(b):
-                    plus = plus * variables[j]
-            elif b < 0:
-                for _ in range(-b):
-                    minus = minus * variables[j]
+        plus = minus = ring.one()
+        for row, v in zip(current.B, variables):
+            for _ in range(_pos(row[kk])):
+                plus = plus * v
+            for _ in range(-_neg(row[kk])):
+                minus = minus * v
         variables[kk] = laurent_div(plus + minus, variables[kk])
         current = mutate_matrix(current, k)
     result = variables[i - 1]
@@ -332,10 +319,6 @@ def laurent_expand(seed: SeedData, word: Sequence[int], i: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 # dominance order and g-vectors
 
-def _mutable_columns(seed: SeedData) -> list[tuple]:
-    return [seed.B.column(j) for j in range(seed.n)]
-
-
 def dominance_less(m1: Sequence, m2: Sequence, seed: SeedData) -> str:
     """Compare two exponent vectors in the dominance order of the seed.
 
@@ -347,7 +330,7 @@ def dominance_less(m1: Sequence, m2: Sequence, seed: SeedData) -> str:
     m2 = tuple(m2)
     if m1 == m2:
         return "equal"
-    cols = _mutable_columns(seed)
+    cols = list(zip(*seed.B))[:seed.n]
     diff = tuple(b - a for a, b in zip(m1, m2))
     if nonnegative_combination(cols, diff):
         return "less"
@@ -405,8 +388,15 @@ def gmatrix(seed: SeedData, basis: Sequence[tuple[Sequence[int], int]],
 
     Each column is computed twice -- by Laurent expansion in the frame seed
     and by transporting standard basis vectors through tropical mutation --
-    and the two answers must agree.
+    and the two answers must agree.  Seeds with unequal skew-symmetrizers
+    raise ValueError: the Laurent route reads column k of B, the transport
+    route row k, and the two agree only when d_j = d_k.
     """
+    if len(set(seed.d)) > 1:
+        raise ValueError(
+            "g-vectors need equal skew-symmetrizers; the Laurent and transport "
+            "routes disagree on seeds with unequal ones"
+        )
     frame = list(frame)
     frame_seed = mutate_seed(seed, frame)
     columns = []

@@ -20,13 +20,12 @@ from .flag import (
     UnsupportedN,
     flag_plucker_ideal,
     flag_ring,
-    plucker_name,
     plucker_subsets,
     sn_action,
     three_term_relation,
 )
 from .groebner import Ideal
-from .poly import OrderSpec, Polynomial, PolyRing, initial_form
+from .poly import OrderSpec, Polynomial, initial_form
 
 
 class MissingWitness(Exception):

@@ -24,7 +24,6 @@ from .poly import (
     OrderSpec,
     Polynomial,
     PolyRing,
-    ZeroPolynomial,
     initial_form,
     leading_term,
 )

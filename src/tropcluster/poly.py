@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class ZeroPolynomial(Exception):
@@ -166,14 +166,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "Polynomial":
-        return self * Fraction(c)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         """Homogeneous with respect to the ring multigrading."""
         degs = {self.ring.multidegree(e) for e in self.terms}
@@ -299,13 +291,6 @@ class OrderSpec:
 
     def __hash__(self):
         return hash(self.cache_key())
-
-    def nvars_hint(self) -> int | None:
-        if self.weight is not None:
-            return len(self.weight)
-        if self.matrix is not None:
-            return len(self.matrix[0])
-        return None
 
     def weight_key(self):
         return self._weight_key

@@ -92,7 +92,7 @@ def presentation_ideal(spec: KhovanskiiSpec) -> Presentation:
     kernel = eliminate(Ideal(big, gens), names)
     # grade the presentation ring by the frozen ray-matrix rows
     G = gmatrix(seed, [(w, i) for w, i, _ in spec.basis])
-    rays = invert(-seed.B.transpose()) * G
+    rays = invert(-QMatrix(seed.B).transpose()) * G
     degrees = [
         tuple(int(rays[r, j]) for r in range(seed.n, N)) for j in range(len(names))
     ]
@@ -108,7 +108,7 @@ def ray_matrix(spec: KhovanskiiSpec, frame: Sequence[int] = ()) -> QMatrix:
     frame = list(frame)
     frame_seed = mutate_seed(spec.seed, frame)
     G = gmatrix(spec.seed, [(w, i) for w, i, _ in spec.basis], frame)
-    return invert(-frame_seed.B.transpose()) * G
+    return invert(-QMatrix(frame_seed.B).transpose()) * G
 
 
 def _dominance_refined_order(spec: KhovanskiiSpec, frame: Sequence[int]) -> OrderSpec:
@@ -117,7 +117,7 @@ def _dominance_refined_order(spec: KhovanskiiSpec, frame: Sequence[int]) -> Orde
     linear order (graded-lex pulled back through the exchange matrix)."""
     frame_seed = mutate_seed(spec.seed, list(frame))
     G = gmatrix(spec.seed, [(w, i) for w, i, _ in spec.basis], list(frame))
-    M = invert(frame_seed.B) * G
+    M = invert(QMatrix(frame_seed.B)) * G
     rows = [[-sum(M.column(j)) for j in range(M.cols)]]
     rows += [[-x for x in M.row(r)] for r in range(M.rows)]
     return OrderSpec.matrix_order(rows)
@@ -196,7 +196,7 @@ def verify_main_theorem(spec: KhovanskiiSpec) -> dict:
         "seed": {
             "n": seed.n,
             "m": seed.m,
-            "B": [[int(x) for x in row] for row in seed.B.entries],
+            "B": [list(row) for row in seed.B],
         },
         "clauses": clauses,
         "initial_ideals": initial_ideals,

@@ -9,7 +9,8 @@ the two sign conventions meet.
 
 Primality of binomial ideals is geometric (over the algebraic closure):
 monomial-freeness, equality with the saturation at all variables, and
-saturatedness of the exponent lattice of a reduced basis.
+saturatedness of the exponent lattice of a reduced basis.  Total
+positivity is decided exactly; its points are rational or absent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import IntLattice, QMatrix, is_saturated, rref
+from .exactmath import IntLattice, QMatrix, is_saturated, rref, smith_normal_form
 from .groebner import (
     Ideal,
     contains_monomial,
@@ -195,14 +196,18 @@ def is_totally_positive(ideal: Ideal) -> PositivityCertificate:
     """Certificate for whether the ideal's zero set meets the strictly
     positive orthant.
 
-    A one-signed basis element is a witness against positivity.  All
-    binomials with coefficient ratio -1 vanish at the all-ones point
-    (exact).  Binomials with other ratios are handled by solving the
-    log-linear system numerically (residual tolerance 1e-9).
+    A one-signed basis element is a witness against positivity.  If every
+    element of the reduced basis is a binomial x^a - r x^b with r > 0, the
+    ideal holds no monomial (reducing a monomial by binomials never reaches
+    0), so the ratios define a positive character on the lattice spanned by
+    the differences a - b, and the verdict is positive.  The point is exact:
+    all ones when every ratio is 1, otherwise ``_binomial_point``, and
+    absent when no rational positive point exists.
     """
     gb = ideal.groebner_basis(OrderSpec.term("grevlex"))
+    ones = (1,) * ideal.ring.nvars
     if not gb:
-        return PositivityCertificate("positive", point=(1,) * ideal.ring.nvars)
+        return PositivityCertificate("positive", point=ones)
     for g in gb:
         coeffs = list(g.terms.values())
         if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
@@ -211,31 +216,47 @@ def is_totally_positive(ideal: Ideal) -> PositivityCertificate:
         return PositivityCertificate("inconclusive")
     # every element is a binomial with mixed signs
     if all(sum(g.terms.values()) == 0 for g in gb):
-        point = (1,) * ideal.ring.nvars
-        return PositivityCertificate("positive", point=point)
-    # solve exp-linear system: x^(a-b) = -c_b/c_a > 0 for each binomial
-    rows, rhs = [], []
-    for g in gb:
-        (ea, ca), (eb, cb) = g.terms.items()
-        ratio = -cb / ca
-        rows.append([a - b for a, b in zip(ea, eb)])
-        rhs.append(math.log(float(ratio)))
-    import numpy as np
+        return PositivityCertificate("positive", point=ones)
+    return PositivityCertificate("positive", point=_binomial_point(gb, len(ones)))
 
-    a = np.array(rows, dtype=float)
-    b = np.array(rhs, dtype=float)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ sol - b)) > 1e-9:
-        return PositivityCertificate("inconclusive")
-    point = tuple(float(math.exp(x)) for x in sol)
+
+def _binomial_point(gb: Sequence[Polynomial], nvars: int) -> Optional[tuple]:
+    """A positive rational zero of binomials c_a x^a + c_b x^b with
+    r = -c_b/c_a > 0, or None if every positive zero is irrational.
+
+    With U A V = D the Smith normal form of the rows a - b, x^(a - b) = r
+    becomes z_i^(d_i) = s_i = prod_j r_j^(U_ij) for x_k = prod_i z_i^(V_ki);
+    s_i = 1 past the rank since the ratios form a character, and free z_i
+    are 1.  V is unimodular, so x is rational iff every z_i is.
+    """
+    U, D, V = smith_normal_form([[a - b for a, b in zip(*g.terms)] for g in gb])
+    ratios = [-cb / ca for ca, cb in (g.terms.values() for g in gb)]
+    z = [Fraction(1)] * nvars
+    for i, urow in enumerate(U.entries):
+        s = math.prod((r ** int(u) for r, u in zip(ratios, urow)), start=Fraction(1))
+        d = int(D[i, i]) if i < nvars else 0
+        if not d and s != 1:
+            raise AssertionError("binomial ratios do not form a character")
+        if d:
+            num, den = _int_root(s.numerator, d), _int_root(s.denominator, d)
+            if num is None or den is None:
+                return None
+            z[i] = Fraction(num, den)
+    point = tuple(math.prod(zi ** int(v) for zi, v in zip(z, vrow)) for vrow in V.entries)
     for g in gb:
-        val = sum(
-            float(c) * math.prod(p ** e for p, e in zip(point, exp))
-            for exp, c in g.terms.items()
-        )
-        if abs(val) > 1e-9:
-            return PositivityCertificate("inconclusive")
-    return PositivityCertificate("positive", point=point)
+        if sum(c * math.prod(x ** e for x, e in zip(point, exp))
+               for exp, c in g.terms.items()):
+            raise AssertionError("positivity point is not a zero of the basis")
+    return point
+
+
+def _int_root(a: int, d: int) -> Optional[int]:
+    """The integer d-th root of a >= 0, or None if a is not a d-th power."""
+    r = 0
+    for bit in reversed(range(a.bit_length() // d + 1)):
+        if (r | 1 << bit) ** d <= a:
+            r |= 1 << bit
+    return r if r ** d == a else None
 
 
 def same_groebner_cone(ideal: Ideal, v: Sequence, w: Sequence) -> bool:

@@ -73,11 +73,11 @@ def test_01_rank_two_example_end_to_end():
             [[-1, 0, 0, 1, 1, 0], [0, 1, 0, 0, -1, -1], [0, 0, 1, 0, 0, 0]]
         )
 
-        assert -invert(SEED.B).transpose() == QMatrix(
+        assert -invert(QMatrix(SEED.B)).transpose() == QMatrix(
             [[-1, -1, 1], [1, 0, 0], [1, 0, -1]]
         )
         seed_p = mutate_matrix(SEED, 1)
-        assert -invert(seed_p.B).transpose() == QMatrix(
+        assert -invert(QMatrix(seed_p.B)).transpose() == QMatrix(
             [[-1, 1, -1], [-1, 0, 0], [-1, 0, -1]]
         )
 

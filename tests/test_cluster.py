@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,9 +55,41 @@ def test_seed_json_roundtrip():
     assert SeedData.from_json(text) == SEED
 
 
+def _int_rows(seed):
+    return all(type(x) is int for row in seed.B for x in row)
+
+
+def test_exchange_matrix_is_stored_as_int_rows():
+    assert _int_rows(SEED) and isinstance(SEED.B, tuple)
+    assert _int_rows(SeedData(2, 0, [[Fraction(0), Fraction(1)], [-1.0, 0]]))
+    mutated = mutate_seed(SEED, (1, 2, 1))
+    assert _int_rows(mutated)
+    back = SeedData.from_json(mutated.to_json())
+    assert back == mutated and _int_rows(back)
+
+
+@pytest.mark.parametrize("half", [0.5, Fraction(1, 2)])
+def test_non_integral_exchange_matrix_rejected(half):
+    with pytest.raises(ValueError, match="integral"):
+        SeedData(2, 0, [[0, half], [-half, 0]])
+    text = json.dumps({"n": 2, "m": 0, "B": [[0, 0.5], [-0.5, 0]]})
+    with pytest.raises(ValueError, match="integral"):
+        SeedData.from_json(text)
+
+
+def test_gmatrix_rejects_unequal_skew_symmetrizers(monkeypatch):
+    seed = SeedData(2, 0, [[0, 1], [-2, 0]], d=[2, 1])
+    # fail before any mutation: matrix mutation itself still accepts the seed
+    monkeypatch.setattr(cluster, "mutate_matrix", None)
+    with pytest.raises(ValueError, match="skew-symmetrizers"):
+        gmatrix(seed, [((1,), 1)])
+    monkeypatch.undo()
+    assert mutate_matrix(mutate_matrix(seed, 1), 1) == seed
+
+
 def test_mutate_matrix_example():
     sp = mutate_matrix(SEED, 1)
-    assert invert(-sp.B.transpose()) == QMatrix(
+    assert invert(-QMatrix(sp.B).transpose()) == QMatrix(
         [[-1, 1, -1], [-1, 0, 0], [-1, 0, -1]]
     )
 
@@ -89,7 +122,7 @@ def test_eq_3_4_both_signs():
         sp = mutate_matrix(SEED, k)
         for sign in (1, -1):
             mua, mux = mu_matrices(SEED, k, sign)
-            assert sp.B.transpose() == mux * SEED.B.transpose() * mua
+            assert QMatrix(sp.B).transpose() == mux * QMatrix(SEED.B).transpose() * mua
 
 
 def test_mutate_gvector_example():
@@ -208,7 +241,7 @@ def test_random_seeds_involution_and_eq34():
             assert mutate_matrix(sp, k) == seed
             for sign in (1, -1):
                 mua, mux = mu_matrices(seed, k, sign)
-                assert sp.B.transpose() == mux * seed.B.transpose() * mua
+                assert QMatrix(sp.B).transpose() == mux * QMatrix(seed.B).transpose() * mua
                 assert mua * mua == QMatrix.identity(3)
                 assert mux * mux == QMatrix.identity(3)
 
@@ -240,10 +273,11 @@ def skew_symmetrizable_seeds(draw):
 def test_mutation_matches_mu_matrices_on_skew_symmetrizable_seeds(seed):
     for k in range(1, seed.n + 1):
         sp = mutate_matrix(seed, k)
+        assert _int_rows(sp)
         assert mutate_matrix(sp, k) == seed
         for sign in (1, -1):
             mua, mux = mu_matrices(seed, k, sign)
-            assert sp.B == (mux * seed.B.transpose() * mua).transpose()
+            assert QMatrix(sp.B) == (mux * QMatrix(seed.B).transpose() * mua).transpose()
 
 
 @pytest.mark.parametrize("bad_sign", (1, -1))

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from tropcluster.flag import _load_data, _ray_vector, extended_ideal, flag_plucker_ideal
@@ -159,7 +162,21 @@ def test_total_positivity_nontrivial_ratio():
     cert = is_totally_positive(_ideal(rxy, "x - 2*y"))
     assert cert.verdict == "positive"
     x, y = cert.point
-    assert abs(x - 2 * y) < 1e-9 and x > 0 and y > 0
+    assert x == 2 * y and x > 0 and y > 0
+    # the only positive zeros have x/y = sqrt(2): positive, no rational point
+    cert = is_totally_positive(_ideal(rxy, "x^2 - 2*y^2"))
+    assert cert.verdict == "positive" and cert.point is None
+
+
+def test_total_positivity_exact_points():
+    rxyz = PolyRing(["x", "y", "z"])
+    ideal = _ideal(rxyz, "4*x^2 - 9*y^2", "x*z - 3*y^2")
+    cert = is_totally_positive(ideal)
+    assert cert.verdict == "positive"
+    assert all(isinstance(c, Fraction) and c > 0 for c in cert.point)
+    for g in ideal.generators:
+        assert sum(c * math.prod(p ** e for p, e in zip(cert.point, exp))
+                   for exp, c in g.terms.items()) == 0
 
 
 def test_same_groebner_cone():

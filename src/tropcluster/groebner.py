@@ -218,7 +218,10 @@ class Ideal:
 
     def is_homogeneous(self) -> bool:
         """True if some (equivalently, the grevlex-reduced) basis is homogeneous
-        for the ring multigrading."""
+        for the ring multigrading.  Homogeneous generators answer without a
+        basis."""
+        if all(g.is_homogeneous() for g in self.generators):
+            return True
         return all(g.is_homogeneous() for g in self.groebner_basis(OrderSpec.term("grevlex")))
 
     def __eq__(self, other):
@@ -307,38 +310,47 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate_at_variables(ideal: Ideal) -> Ideal:
-    """(I : (x_1 ... x_n)^infinity) for a homogeneous ideal.
+    """(I : (x_1 ... x_n)^infinity) for an ideal homogeneous for a positive
+    grading of the ring.
 
-    Uses the reverse-lex trick: under a degree order where x_i is smallest
-    and fewer copies of x_i win ties, saturating at x_i amounts to dividing
-    every reduced-basis element by its common x_i power, and the divided
-    basis is saturated at x_i.  Cycles through the variables until n in a
-    row divide nothing.  The bases are used once, so none is cached.
+    A work list of the variables still to check, starting from the cached
+    grevlex basis.  A variable that divides no leading monomial of a
+    Groebner basis (for any term order) is a nonzerodivisor modulo the
+    initial ideal, hence modulo I, so it leaves the list with no work.  Each
+    other variable x_i takes the reverse-lex trick: under the order whose
+    first row is the grading, ``sum(d)`` for each degree vector d (an ideal
+    homogeneous for the multigrading is homogeneous for it), with ties won
+    by fewer copies of x_i, saturating at x_i amounts to dividing every
+    basis element by its common x_i power (Bayer-Stillman), and the divided
+    basis is a Groebner basis of the saturation.  A variable leaves the list
+    for good: if (I : x_j) = I then ((I : x_i^infinity) : x_j) =
+    ((I : x_j) : x_i^infinity) = I : x_i^infinity.  The sweep's own bases
+    are used once, so none is cached.
     """
     ring = ideal.ring
     n = ring.nvars
-    gens = list(ideal.generators)
+    grading = tuple(sum(d) for d in ring.degrees)
+    spec = OrderSpec.term("grevlex")
+    basis = ideal.groebner_basis(spec)
+    todo = list(range(n))
     changed = False
-    clean = i = 0
-    while clean < n:
-        rows = [(1,) * n, tuple(-1 if j == i else 0 for j in range(n))]
-        gb = buchberger(gens, OrderSpec.matrix_order(rows))
-        low = [min(e[i] for e in g.terms) for g in gb]
+    while True:
+        leads = [leading_term(g, spec)[0] for g in basis]
+        todo = [i for i in todo if any(le[i] for le in leads)]
+        if not todo:
+            break
+        i = todo.pop(0)
+        spec = OrderSpec.matrix_order([grading, tuple(-1 if j == i else 0 for j in range(n))])
+        basis = buchberger(basis, spec)
+        low = [min(e[i] for e in g.terms) for g in basis]
         if any(low):
-            gens = []
-            for g, m in zip(gb, low):
-                if m:
-                    g = Polynomial(ring, {
-                        tuple(ej - m if j == i else ej for j, ej in enumerate(e)): c
-                        for e, c in g.terms.items()
-                    })
-                gens.append(g)
+            basis = [
+                Polynomial(ring, {e[:i] + (e[i] - m,) + e[i + 1:]: c for e, c in g.terms.items()})
+                if m else g
+                for g, m in zip(basis, low)
+            ]
             changed = True
-            clean = 1
-        else:
-            clean += 1
-        i = (i + 1) % n
-    return Ideal(ring, gens) if changed else ideal
+    return Ideal(ring, basis) if changed else ideal
 
 
 def contains_monomial(ideal: Ideal) -> bool:

@@ -18,7 +18,7 @@ from typing import Sequence
 from .cluster import SeedData, gmatrix, laurent_expand, mutate_seed
 from .exactmath import QMatrix, invert
 from .groebner import Ideal, eliminate, ideal_equal, initial_ideal, render_ideal
-from .poly import OrderSpec, Polynomial, PolyRing
+from .poly import OrderSpec, Polynomial, PolyRing, _integer_row
 from .trop import (
     Cone,
     cone_initial_ideal,
@@ -73,7 +73,8 @@ def presentation_ideal(spec: KhovanskiiSpec) -> Presentation:
     {a, u} leaves the full (saturated) ideal of relations among the basis.
 
     The presentation ring is graded by the frozen rows of the frame-s ray
-    matrix, the grading for which the kernel is homogeneous.
+    matrix, the grading for which the kernel is homogeneous; a row with
+    rational entries is scaled by the lcm of its denominators.
     """
     seed = spec.seed
     N = seed.size()
@@ -93,9 +94,8 @@ def presentation_ideal(spec: KhovanskiiSpec) -> Presentation:
     # grade the presentation ring by the frozen ray-matrix rows
     G = gmatrix(seed, [(w, i) for w, i, _ in spec.basis])
     rays = invert(-QMatrix(seed.B).transpose()) * G
-    degrees = [
-        tuple(int(rays[r, j]) for r in range(seed.n, N)) for j in range(len(names))
-    ]
+    frozen = [_integer_row(rays.row(r)) for r in range(seed.n, N)]
+    degrees = [tuple(row[j] for row in frozen) for j in range(len(names))]
     ring = PolyRing(names, degrees)
     ideal = Ideal(ring, [Polynomial(ring, g.terms) for g in kernel.generators])
     return Presentation(ring, ideal, expansions)

@@ -137,11 +137,12 @@ def cone_initial_ideal(ideal: Ideal, cone: Cone) -> Ideal:
 def _cone_weights(ideal: Ideal, cone: Cone) -> list[tuple]:
     """Max-convention weights of the cone's lineality vectors, then rays,
     leaving out those for which every generator is homogeneous."""
-    return [
-        tuple(-x for x in w)
-        for w in tuple(cone.lineality) + tuple(cone.rays)
-        if not all(_weight_homogeneous(g, w) for g in ideal.generators)
-    ]
+    weights = []
+    for w in tuple(cone.lineality) + tuple(cone.rays):
+        key = OrderSpec.weight_order(w).weight_key()
+        if any(len({key(e) for e in g.terms}) > 1 for g in ideal.generators):
+            weights.append(tuple(-x for x in w))
+    return weights
 
 
 def _iterated_initial_ideal(ideal: Ideal, weights: Sequence[tuple]) -> Ideal:
@@ -149,11 +150,6 @@ def _iterated_initial_ideal(ideal: Ideal, weights: Sequence[tuple]) -> Ideal:
     for w in weights:
         ideal = initial_ideal(ideal, OrderSpec.weight_order(w))
     return ideal
-
-
-def _weight_homogeneous(g, w) -> bool:
-    values = {sum(wi * ei for wi, ei in zip(w, e)) for e in g.terms}
-    return len(values) <= 1
 
 
 def is_binomial(ideal: Ideal) -> bool:

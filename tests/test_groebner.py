@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from tropcluster.flag import _load_data, _ray_vector, flag_plucker_ideal
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from tropcluster import groebner
+from tropcluster.flag import _load_data, _ray_vector, extended_ideal, flag_plucker_ideal
 from tropcluster.groebner import (
     Ideal,
     ResourceBudget,
@@ -159,16 +163,18 @@ def test_budget(monkeypatch):
     assert Ideal(R3, I.generators).groebner_basis(OrderSpec.term("grevlex"))
 
 
-def census_initial_ideals():
-    """Label -> initial ideal of each maximal cone of the n=4 census."""
-    data = _load_data("flag4_census.json")
-    J = flag_plucker_ideal(4)
+def census_initial_ideals(J=None, data_file="flag4_census.json", skip=()):
+    """Label -> initial ideal of each maximal cone of an n=4 census, by
+    default the Plucker one."""
+    data = _load_data(data_file)
+    J = J or flag_plucker_ideal(4)
     ring = J.ring
     rays = {label: _ray_vector(ring, spec) for label, spec in data["rays"].items()}
     lineality = lineality_vectors(ring)
     return {
         label: cone_initial_ideal(J, Cone(ring, [rays[r] for r in ray_labels], lineality))
         for label, ray_labels in data["cones"].items()
+        if label not in skip
     }
 
 
@@ -200,3 +206,83 @@ def test_prime_check_caches_only_grevlex():
     for label, prime in (("C17", False), ("C36", True)):
         assert is_prime_binomial(inits[label]) == prime
         assert list(inits[label]._gb_cache) == [OrderSpec.term("grevlex").cache_key()]
+
+
+def test_saturate_at_variables_on_extended_cones():
+    # x has degree (1, 0, 1), so the sweep's grading row is not total degree;
+    # extended C24's stacked route takes seconds, and test_05 runs it
+    inits = census_initial_ideals(extended_ideal(), "flag4_extended.json", ("C24",))
+    assert len(inits) == 13
+    for label, init in inits.items():
+        prod = init.ring.monomial((1,) * init.ring.nvars)
+        fast = saturate_at_variables(init)
+        assert ideal_equal(fast, saturate(init, prod)), label
+        assert ideal_equal(fast, init), label  # every extended cone is prime
+
+
+def test_saturate_at_variables_weighted_grading():
+    # homogeneous for degrees (1, 2, 2) but not for total degree
+    ring = PolyRing(["x", "y", "z"], [(1,), (2,), (2,)])
+    I = ideal(ring, "-x^2*y + z^2", "-2*x*y^3 + x*z^3")
+    sat = saturate(I, ring.monomial((1, 1, 1)))
+    assert ideal_equal(saturate_at_variables(I), sat)
+    assert sat.contains(p("x^4 - 2*y*z", ring)) and not I.contains(p("x^4 - 2*y*z", ring))
+
+
+@st.composite
+def graded_binomial_ideals(draw):
+    """Binomial ideals in 3-4 variables, homogeneous for a random positive
+    grading of width 1 or 2."""
+    n = draw(st.integers(3, 4))
+    width = draw(st.integers(1, 2))
+    degree = st.tuples(*[st.integers(0, 2)] * width).filter(any)
+    ring = PolyRing(list("xyzw"[:n]), [draw(degree) for _ in range(n)])
+    classes: dict[tuple, list[tuple]] = {}
+    for e in itertools.product(range(4), repeat=n):
+        classes.setdefault(ring.multidegree(e), []).append(e)
+    pairs = [c for c in classes.values() if len(c) > 1]
+    assume(pairs)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = draw(st.sampled_from(pairs))
+        i, j = draw(st.lists(st.integers(0, len(members) - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.integers(-3, 3).filter(bool))
+        gens.append(ring.monomial(members[i]) + ring.monomial(members[j], c))
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_binomial_ideals())
+def test_saturate_at_variables_matches_saturate_on_graded_binomials(I):
+    prod = I.ring.monomial((1,) * I.ring.nvars)
+    assert ideal_equal(saturate_at_variables(I), saturate(I, prod))
+
+
+# Buchberger runs of the sweep per census cone, from the cached grevlex basis;
+# cycling through all 14 variables from the generators until 14 in a row
+# divided nothing took 14 runs per prime cone and 19 on C17 and C51
+SWEEP_RUNS = {
+    "C0": 9, "C1": 9, "C3": 8, "C8": 9, "C14": 8, "C17": 8, "C18": 8,
+    "C24": 8, "C36": 9, "C44": 8, "C51": 8, "C53": 8, "C71": 8, "C77": 10,
+}
+
+
+def test_saturation_sweep_buchberger_runs(census_inits, monkeypatch):
+    real = groebner.buchberger
+    calls = []
+    monkeypatch.setattr(groebner, "buchberger", lambda *args: calls.append(1) or real(*args))
+    runs = {}
+    for label, init in census_inits.items():
+        init.groebner_basis(OrderSpec.term("grevlex"))  # cached, as after is_binomial
+        calls.clear()
+        saturate_at_variables(init)
+        runs[label] = len(calls)
+    assert runs == SWEEP_RUNS
+
+
+def test_is_homogeneous():
+    I = ideal(R3, "x^2 - y*z", "x*y")
+    assert I.is_homogeneous() and not I._gb_cache  # no basis needed
+    assert ideal(R3, "x^2 - y", "y").is_homogeneous()  # through the basis (x^2, y)
+    assert not ideal(R3, "x^2 - y").is_homogeneous()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tropcluster.cluster import SeedData
@@ -55,6 +57,14 @@ def test_presentation_initial_seed_only():
     spec = KhovanskiiSpec(SEED, BASIS[:3])
     pres = presentation_ideal(spec)
     assert not pres.ideal.generators
+
+
+def test_presentation_grading_scales_rational_rows():
+    spec = KhovanskiiSpec(SeedData(2, 1, [[0, 1, 2], [-1, 0, 2], [-2, -2, -2]]), BASIS)
+    assert ray_matrix(spec).row(2) == (1, -1, Fraction(1, 2), -1, 1, 2)
+    pres = presentation_ideal(spec)
+    assert pres.ring.degrees == ((2,), (-2,), (1,), (-2,), (2,), (4,))
+    assert all(g.is_homogeneous() for g in pres.ideal.generators)
 
 
 def test_presentation_is_weight_homogeneous():
